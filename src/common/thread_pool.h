@@ -58,8 +58,12 @@ class ThreadPool {
 
   /// Splits [begin, end) into chunks of up to `chunk` elements and runs
   /// fn(lo, hi) over them on up to `degree` concurrent tasks. Returns the
-  /// first non-OK Status (remaining chunks are skipped once an error is
-  /// seen). Runs inline when degree <= 1 or the pool has no workers.
+  /// first non-OK Status. An error is recorded when the failing fn returns,
+  /// not before. Chunks already running finish; each other task checks for
+  /// a recorded error before it claims a chunk, so after the record it
+  /// starts at most one more chunk (one whose check ran before the record),
+  /// and the remaining chunks are skipped. Runs inline when degree <= 1 or
+  /// the pool has no workers, stopping at the first error.
   Status ParallelFor(uint64_t begin, uint64_t end, uint64_t chunk,
                      size_t degree,
                      const std::function<Status(uint64_t, uint64_t)>& fn);

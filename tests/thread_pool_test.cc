@@ -142,10 +142,28 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstError) {
   ThreadPool pool(4);
   std::atomic<int> chunks_after_error{0};
   std::atomic<bool> error_seen{false};
+  // ParallelFor learns of the error only when the failing fn returns, so a
+  // chunk that sees error_seen first waits on a rendezvous: a no-op probe
+  // submitted to the same pool. The 4 bodies (degree 4, 4 workers) fill the
+  // 4 workers and the queue is FIFO, so the probe can start only after some
+  // other body has returned. A body returns only once `failed` is stored or
+  // the cursor is past the end, and that return happens-before the waiter
+  // resumes (through the queue mutex and the future). The waiter's body then
+  // starts no further chunk, so each of the 3 non-failing bodies counts at
+  // most one chunk, however the threads are scheduled.
+  //
+  // Unlike a task calling ParallelFor on its own pool (forbidden in
+  // thread_pool.h: the inner wait could need the outer task's own slot), the
+  // probe never waits for its caller's slot: the failing body's slot is
+  // enough, and the failing body never waits, so it always returns. Its
+  // worker then drains the queue: any body still queued sees `failed` and
+  // returns, and the probes run.
   Status s = pool.ParallelFor(0, 100000, 16, 4,
                               [&](uint64_t lo, uint64_t) -> Status {
                                 if (error_seen.load()) {
                                   chunks_after_error.fetch_add(1);
+                                  pool.Submit([] { return Status::OK(); })
+                                      .get();
                                 }
                                 if (lo == 256) {
                                   error_seen.store(true);
@@ -157,6 +175,8 @@ TEST(ThreadPoolTest, ParallelForPropagatesFirstError) {
   EXPECT_NE(s.message().find("chunk failed"), std::string::npos);
   // Error short-circuits: the vast majority of the 6250 chunks are skipped.
   EXPECT_LT(chunks_after_error.load(), 64);
+  // By the rendezvous: at most one counted chunk per non-failing body.
+  EXPECT_LE(chunks_after_error.load(), 3);
 }
 
 TEST(ThreadPoolTest, ParallelForEmptyAndSingleRanges) {
