@@ -298,6 +298,7 @@ Status Database::RefreshQueryLogTable() {
     RETURN_NOT_OK(add_int("plan_hash"));
     RETURN_NOT_OK(add_int("trace_id"));
     RETURN_NOT_OK(add_int("parse_ns"));
+    RETURN_NOT_OK(add_int("rewrite_ns"));
     RETURN_NOT_OK(add_int("plan_ns"));
     RETURN_NOT_OK(add_int("exec_ns"));
     RETURN_NOT_OK(add_int("total_ns"));
@@ -327,6 +328,7 @@ Status Database::RefreshQueryLogTable() {
     row.push_back(as_int(r.plan_hash));
     row.push_back(as_int(r.trace_id));
     row.push_back(as_int(r.parse_ns));
+    row.push_back(as_int(r.rewrite_ns));
     row.push_back(as_int(r.plan_ns));
     row.push_back(as_int(r.exec_ns));
     row.push_back(as_int(r.total_ns));

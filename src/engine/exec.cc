@@ -584,7 +584,22 @@ class FilterOp : public Operator {
 class ProjectOp : public Operator {
  public:
   ProjectOp(const PlanNode& node, OperatorPtr child, ExecContext* ctx)
-      : node_(node), child_(std::move(child)), ctx_(ctx) {}
+      : node_(node), child_(std::move(child)), ctx_(ctx) {
+    // last_use_[s]: the highest projection index reading input slot s — one
+    // walk over the projections, so the dense path's copy-or-move choice is
+    // O(1) per projection rather than a scan of every later projection.
+    std::vector<const Expr*> refs;
+    for (size_t c = 0; c < node_.projections.size(); ++c) {
+      refs.clear();
+      node_.projections[c]->CollectColumnRefs(&refs);
+      for (const Expr* ref : refs) {
+        if (ref->bound_slot < 0) continue;
+        const size_t s = static_cast<size_t>(ref->bound_slot);
+        if (s >= last_use_.size()) last_use_.resize(s + 1, 0);
+        last_use_[s] = c;
+      }
+    }
+  }
 
   ~ProjectOp() override { FlushBytecodeState(node_, ctx_, &bc_state_); }
 
@@ -626,7 +641,8 @@ class ProjectOp : public Operator {
         // The column travels verbatim (dense implies identical physical
         // rows), so its batch type proof stays valid — carry the tag across
         // and downstream programs skip re-profiling.
-        const bool used_after = SlotUsedAfter(c, p.bound_slot);
+        const bool used_after =
+            last_use_[static_cast<size_t>(p.bound_slot)] > c;
         const ColTag* tag = in_.TagFor(p.bound_slot);
         if (tag != nullptr && batch->tags.size() < node_.projections.size()) {
           batch->tags.resize(node_.projections.size());
@@ -659,26 +675,12 @@ class ProjectOp : public Operator {
   }
 
  private:
-  static bool UsesSlot(const Expr& e, int slot) {
-    if (e.kind == ExprKind::kColumnRef) return e.bound_slot == slot;
-    for (const ExprPtr& a : e.args) {
-      if (UsesSlot(*a, slot)) return true;
-    }
-    return false;
-  }
-
-  bool SlotUsedAfter(size_t c, int slot) const {
-    for (size_t k = c + 1; k < node_.projections.size(); ++k) {
-      if (UsesSlot(*node_.projections[k], slot)) return true;
-    }
-    return false;
-  }
-
   const PlanNode& node_;
   OperatorPtr child_;
   ExecContext* ctx_;
   RowBatch in_;
   bytecode::ExecState bc_state_;
+  std::vector<size_t> last_use_;
 };
 
 // ---------------------------------------------------------------- Extract

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "common/metrics.h"
 #include "common/value.h"
@@ -1075,6 +1076,19 @@ ExtractTarget TargetFromCall(const Expr& call) {
   return t;
 }
 
+/// Orders extract targets by (source, prefix chain, attr id, raw bytes,
+/// type tag) — the BatchExtractFn contract that lets the implementation
+/// decode each source once and merge-join all wanted ids in a single
+/// ascending pass. Equivalent targets are the same per-row work, so this is
+/// also the key the extraction hoist dedupes call sites on.
+struct ExtractTargetLess {
+  bool operator()(const ExtractTarget& a, const ExtractTarget& b) const {
+    return std::tie(a.source_slot, a.prefix_ids, a.attr_id, a.raw_bytes,
+                    a.type_tag) < std::tie(b.source_slot, b.prefix_ids,
+                                           b.attr_id, b.raw_bytes, b.type_tag);
+  }
+};
+
 /// A hoistable decode-to-value chain call over a scalar type tag — the only
 /// calls whose comparisons a column strip's zone map can reason about (the
 /// _bytes variant and object/array extractions have no strip columns).
@@ -1264,71 +1278,57 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
     moved.clear();  // conjuncts stay in the scan filter, on the chain path
   }
 
-  // Dedupe call sites by structural equality. A site that appears in both
-  // a predicate and the projection lands in the below group: predicate and
-  // projection then share one decode through the same output column.
-  std::vector<ExprPtr> below_templates, above_templates;
-  std::vector<std::string> below_texts, above_texts;
+  // Dedupe call sites by extraction target: sites with equal targets are
+  // the same per-row work and share one output column. A site that appears
+  // in both a predicate and the projection lands in the below group:
+  // predicate and projection then share one decode through the same output
+  // column. Each target is computed once per site, and each group's map
+  // iterates in ExtractTargetLess order, so building a node needs no sort —
+  // the whole hoist is O(sites log targets).
+  struct HoistedCall {
+    const Expr* call = nullptr;  // first site; types the output column
+    int slot = -1;               // output column, set when the node is built
+    std::string name;
+  };
+  using CallGroup = std::map<ExtractTarget, HoistedCall, ExtractTargetLess>;
+  CallGroup below_group, above_group;
+  // Every site paired with the group entry whose output column replaces it.
+  std::vector<std::pair<ExprPtr*, const HoistedCall*>> swaps;
   for (ExprPtr* site : below_sites) {
-    std::string text = (*site)->ToString();
-    if (std::find(below_texts.begin(), below_texts.end(), text) ==
-        below_texts.end()) {
-      below_texts.push_back(std::move(text));
-      below_templates.push_back((*site)->Clone());
-    }
+    auto [it, inserted] = below_group.try_emplace(TargetFromCall(**site));
+    if (inserted) it->second.call = site->get();
+    swaps.emplace_back(site, &it->second);
   }
 
-  // Above-group sites whose text matches a predicate target reuse its
+  // Above-group sites whose target matches a predicate target reuse its
   // output column for free. A single remaining fresh site stays on the
   // chain path for the same lone-site reason; two or more batch into one
   // decode per filter-surviving row.
-  std::vector<ExprPtr*> shared_above, fresh_above;
+  std::vector<std::pair<ExprPtr*, ExtractTarget>> fresh_above;
   for (ExprPtr* site : above_sites) {
-    bool is_shared = std::find(below_texts.begin(), below_texts.end(),
-                               (*site)->ToString()) != below_texts.end();
-    (is_shared ? shared_above : fresh_above).push_back(site);
+    ExtractTarget target = TargetFromCall(**site);
+    auto shared = below_group.find(target);
+    if (shared != below_group.end()) {
+      swaps.emplace_back(site, &shared->second);
+    } else {
+      fresh_above.emplace_back(site, std::move(target));
+    }
   }
   const bool hoist_above = fresh_above.size() >= 2;
-  if (below_sites.empty() && !hoist_above) return;
+  if (below_group.empty() && !hoist_above) return;
   if (hoist_above) {
-    for (ExprPtr* site : fresh_above) {
-      std::string text = (*site)->ToString();
-      if (std::find(above_texts.begin(), above_texts.end(), text) ==
-          above_texts.end()) {
-        above_texts.push_back(std::move(text));
-        above_templates.push_back((*site)->Clone());
-      }
+    for (auto& [site, target] : fresh_above) {
+      auto [it, inserted] = above_group.try_emplace(std::move(target));
+      if (inserted) it->second.call = site->get();
+      swaps.emplace_back(site, &it->second);
     }
   }
 
-  // call text -> (output slot, column name), across both extract nodes.
-  std::map<std::string, std::pair<size_t, std::string>> out_by_text;
   size_t next_rank = 0;
-  // Builds one kExtract node appending the group's targets to in_schema.
-  // Targets are ordered by (source, prefix chain, attr id): the
-  // BatchExtractFn contract that lets the implementation decode each source
-  // once and merge-join all wanted ids in a single ascending pass.
-  auto make_extract = [&](std::vector<ExprPtr>* templates,
-                          std::vector<std::string>* texts,
-                          const ExecSchema& in_schema,
+  // Builds one kExtract node appending the group's targets, in key order,
+  // to in_schema.
+  auto make_extract = [&](CallGroup* group, const ExecSchema& in_schema,
                           double est_rows) -> PlanPtr {
-    std::vector<ExtractTarget> targets;
-    targets.reserve(templates->size());
-    for (const ExprPtr& t : *templates) targets.push_back(TargetFromCall(*t));
-    std::vector<size_t> order(templates->size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      const ExtractTarget& ta = targets[a];
-      const ExtractTarget& tb = targets[b];
-      if (ta.source_slot != tb.source_slot) {
-        return ta.source_slot < tb.source_slot;
-      }
-      if (ta.prefix_ids != tb.prefix_ids) {
-        return ta.prefix_ids < tb.prefix_ids;
-      }
-      if (ta.attr_id != tb.attr_id) return ta.attr_id < tb.attr_id;
-      return ta.raw_bytes < tb.raw_bytes;
-    });
     auto extract = std::make_unique<PlanNode>();
     extract->kind = PlanKind::kExtract;
     extract->extract_fn = std::string(kBatchExtractFnName);
@@ -1336,13 +1336,13 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
     extract->extract_rid_slot = rid_slot;
     extract->output_schema = in_schema;
     extract->est_rows = est_rows;
-    for (size_t i : order) {
-      std::string name = "$x" + std::to_string(next_rank++);
-      out_by_text[(*texts)[i]] = {extract->output_schema.cols.size(), name};
+    extract->extract_targets.reserve(group->size());
+    for (auto& [target, out] : *group) {
+      out.slot = static_cast<int>(extract->output_schema.cols.size());
+      out.name = "$x" + std::to_string(next_rank++);
       extract->output_schema.cols.push_back(ExecSchema::Col{
-          "", std::move(name), InferType(*(*templates)[i],
-                                         scan->output_schema)});
-      extract->extract_targets.push_back(std::move(targets[i]));
+          "", out.name, InferType(*out.call, scan->output_schema)});
+      extract->extract_targets.push_back(target);
     }
     return extract;
   };
@@ -1376,13 +1376,13 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
   // below node's outputs), then swap call sites while the moved conjuncts
   // are still intact, then splice.
   PlanPtr below_node, above_node;
-  if (!below_templates.empty()) {
-    below_node = make_extract(&below_templates, &below_texts,
-                              scan->output_schema, scan->est_rows);
+  if (!below_group.empty()) {
+    below_node =
+        make_extract(&below_group, scan->output_schema, scan->est_rows);
   }
-  if (!above_templates.empty()) {
+  if (!above_group.empty()) {
     above_node = make_extract(
-        &above_templates, &above_texts,
+        &above_group,
         below_node ? below_node->output_schema : scan->output_schema,
         scan->est_rows);
   }
@@ -1390,17 +1390,11 @@ void Planner::SelectPlanner::TryHoistBatchedExtraction(PlanNode* cap) const {
   // Swap every call site for a reference to its extract output column.
   // Below-group outputs flow through the filter and the above node, so a
   // projection referencing a predicate attribute reuses the below decode.
-  auto swap_sites = [&](std::vector<ExprPtr*>* sites) {
-    for (ExprPtr* site : *sites) {
-      const auto& out = out_by_text[(*site)->ToString()];
-      ExprPtr ref = Expr::Column("", out.second);
-      ref->bound_slot = static_cast<int>(out.first);
-      *site = std::move(ref);
-    }
-  };
-  swap_sites(&below_sites);
-  swap_sites(&shared_above);
-  if (hoist_above) swap_sites(&fresh_above);
+  for (const auto& [site, out] : swaps) {
+    ExprPtr ref = Expr::Column("", out->name);
+    ref->bound_slot = out->slot;
+    *site = std::move(ref);
+  }
 
   // Splice: scan -> extract(predicate attrs) [-> filter with the moved
   // conjuncts] [-> extract(projection-only attrs)], and widen the schemas

@@ -1,5 +1,7 @@
 #include "sinew/catalog.h"
 
+#include <unordered_set>
+
 namespace sinew {
 
 Result<uint32_t> AttributeCatalog::Intern(std::string_view key,
@@ -104,6 +106,25 @@ std::vector<AttributeState> AttributeCatalog::TableAttributes(
   return out;
 }
 
+std::vector<std::string> AttributeCatalog::TopLevelKeys(
+    const std::string& table) const {
+  std::lock_guard lock(mutex_);
+  std::vector<std::string> out;
+  auto t = tables_.find(table);
+  if (t == tables_.end()) return out;
+  const std::vector<serial::Attribute>& attrs = dict_.attributes();
+  // Views into the dictionary's own key strings, stable under the lock.
+  std::unordered_set<std::string_view> seen;
+  for (const auto& [id, state] : t->second) {
+    (void)state;
+    if (id >= attrs.size()) continue;
+    const std::string& key = attrs[id].key;
+    if (key.find('.') != std::string::npos) continue;  // nested subkey
+    if (seen.insert(key).second) out.push_back(key);
+  }
+  return out;
+}
+
 std::vector<uint32_t> AttributeCatalog::DirtyAttributes(
     const std::string& table) const {
   std::lock_guard lock(mutex_);
@@ -127,19 +148,27 @@ std::vector<std::string> AttributeCatalog::TableNames() const {
   return out;
 }
 
-void AttributeCatalog::RecordHeat(const std::string& table, uint32_t attr_id,
-                                  uint64_t requests, uint64_t strip_served,
-                                  uint64_t reservoir_served,
-                                  uint64_t decode_ns,
-                                  uint64_t query_ordinal) {
+void AttributeCatalog::RecordHeat(
+    const std::vector<engine::AttrAccessSample>& samples,
+    uint64_t query_ordinal) {
   std::lock_guard lock(mutex_);
-  AttrHeat& heat = heat_[table][attr_id];
-  heat.extract_requests += requests;
-  heat.strip_served += strip_served;
-  heat.reservoir_served += reservoir_served;
-  heat.decode_ns += decode_ns;
-  if (query_ordinal > heat.last_touched_ordinal) {
-    heat.last_touched_ordinal = query_ordinal;
+  // A flush comes from one extract node, so its samples share one table:
+  // resolve the table's heat map once per run of equal names.
+  const std::string* table = nullptr;
+  std::map<uint32_t, AttrHeat>* table_heat = nullptr;
+  for (const engine::AttrAccessSample& s : samples) {
+    if (table == nullptr || *table != s.table) {
+      table = &s.table;
+      table_heat = &heat_[s.table];
+    }
+    AttrHeat& heat = (*table_heat)[s.attr_id];
+    heat.extract_requests += s.requests;
+    heat.strip_served += s.strip_served;
+    heat.reservoir_served += s.reservoir_served;
+    heat.decode_ns += s.decode_ns;
+    if (query_ordinal > heat.last_touched_ordinal) {
+      heat.last_touched_ordinal = query_ordinal;
+    }
   }
 }
 

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "engine/udf.h"
 #include "serial/dictionary.h"
 
 namespace sinew {
@@ -102,6 +103,10 @@ class AttributeCatalog : public serial::AttributeDictionary {
                                          uint32_t attr_id) const;
   /// Snapshot of all attribute states of a table, ordered by attribute ID.
   std::vector<AttributeState> TableAttributes(const std::string& table) const;
+  /// Distinct top-level (undotted) key names among a table's attributes, in
+  /// attribute-ID order, each at its first occurrence — the SELECT *
+  /// expansion order. One mutex acquisition for the whole list.
+  std::vector<std::string> TopLevelKeys(const std::string& table) const;
   /// Attribute IDs currently marked dirty.
   std::vector<uint32_t> DirtyAttributes(const std::string& table) const;
 
@@ -109,11 +114,10 @@ class AttributeCatalog : public serial::AttributeDictionary {
   std::vector<std::string> TableNames() const;
 
   // --- attribute heat telemetry ---
-  /// Folds one access sample into the per-(table, attribute) heat entry.
+  /// Folds a batch of access samples (one extract operator's flush) into
+  /// the per-(table, attribute) heat entries under one mutex acquisition.
   /// `query_ordinal` stamps recency (0 = unknown, keeps the old stamp).
-  void RecordHeat(const std::string& table, uint32_t attr_id,
-                  uint64_t requests, uint64_t strip_served,
-                  uint64_t reservoir_served, uint64_t decode_ns,
+  void RecordHeat(const std::vector<engine::AttrAccessSample>& samples,
                   uint64_t query_ordinal);
   /// Heat entries of one table, keyed by attribute ID.
   std::map<uint32_t, AttrHeat> HeatSnapshot(const std::string& table) const;

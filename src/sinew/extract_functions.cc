@@ -334,14 +334,11 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
   // Attribute heat: the extract operator accumulates per-target access
   // tallies and flushes them here at close; the catalog aggregates them
   // across queries (surfaced as sinew_attribute_stats). Called from Gather
-  // worker threads too — RecordHeat is mutex-guarded.
+  // worker threads too — RecordHeat folds each flush under one catalog lock.
   registry->SetHeatSink(
       [catalog](const std::vector<engine::AttrAccessSample>& samples) {
-        const uint64_t ordinal = qlog::QueryLog::Global()->CurrentOrdinal();
-        for (const engine::AttrAccessSample& s : samples) {
-          catalog->RecordHeat(s.table, s.attr_id, s.requests, s.strip_served,
-                              s.reservoir_served, s.decode_ns, ordinal);
-        }
+        catalog->RecordHeat(samples,
+                            qlog::QueryLog::Global()->CurrentOrdinal());
       });
   registry->Register("sinew_extract_text",
                      MakeTypedExtractor(catalog, cache, ValueType::kString,

@@ -172,8 +172,11 @@ class QueryRewriter::Impl {
       std::map<std::string, AttributeCatalog::ResolvedPath, std::less<>>
           batch = catalog_->ResolveBatch(table, paths);
       bind_resolutions->Add(batch.size());
+      // Splice the batch's nodes in (no per-path copy); for a path resolved
+      // twice the newer resolution wins.
       auto& dest = resolved_[table];
-      for (auto& [path, rp] : batch) dest.insert_or_assign(path, std::move(rp));
+      batch.merge(dest);
+      dest = std::move(batch);
     }
   }
 
@@ -715,20 +718,6 @@ class QueryRewriter::Impl {
       resolved_;
 };
 
-std::vector<std::string> QueryRewriter::TopLevelLogicalColumns(
-    const std::string& table) const {
-  std::vector<std::string> out;
-  std::set<std::string> seen;
-  for (const AttributeState& state : catalog_->TableAttributes(table)) {
-    Result<serial::Attribute> attr = catalog_->Lookup(state.attr_id);
-    if (!attr.ok()) continue;
-    const std::string& key = attr->key;
-    if (key.find('.') != std::string::npos) continue;  // nested subkey
-    if (seen.insert(key).second) out.push_back(key);
-  }
-  return out;
-}
-
 Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
   Impl impl(db_, catalog_, indexes_);
   for (const engine::TableRef& ref : stmt->from) {
@@ -749,7 +738,7 @@ Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
           expanded = true;
           continue;
         }
-        for (const std::string& key : TopLevelLogicalColumns(st.name)) {
+        for (const std::string& key : catalog_->TopLevelKeys(st.name)) {
           engine::SelectItem out;
           out.expr = Expr::Column(st.alias, key);
           out.alias = key;
@@ -789,11 +778,16 @@ Status QueryRewriter::RewriteSelect(engine::SelectStatement* stmt) const {
   if (stmt->where != nullptr) {
     RETURN_NOT_OK(impl.RewriteExpr(&stmt->where, Hint::kBool));
   }
-  std::set<std::string> aliases;
-  for (const engine::SelectItem& item : stmt->items) {
-    if (!item.alias.empty()) aliases.insert(item.alias);
+  // Only GROUP BY / HAVING / ORDER BY see the aliases; a wide SELECT *
+  // without them skips building the set.
+  if (!stmt->group_by.empty() || stmt->having != nullptr ||
+      !stmt->order_by.empty()) {
+    std::set<std::string> aliases;
+    for (const engine::SelectItem& item : stmt->items) {
+      if (!item.alias.empty()) aliases.insert(item.alias);
+    }
+    impl.set_output_aliases(std::move(aliases));
   }
-  impl.set_output_aliases(std::move(aliases));
   for (ExprPtr& g : stmt->group_by) {
     RETURN_NOT_OK(impl.RewriteExpr(&g, Hint::kAny));
   }
@@ -904,28 +898,29 @@ struct ScopedNsCounter {
 }  // namespace
 
 Result<engine::Statement> QueryRewriter::Rewrite(std::string_view sql) const {
+  ASSIGN_OR_RETURN(engine::Statement stmt, engine::ParseSql(sql));
+  RETURN_NOT_OK(RewriteStatement(&stmt));
+  return stmt;
+}
+
+Status QueryRewriter::RewriteStatement(engine::Statement* stmt) const {
   static metrics::Counter* queries_total =
       metrics::GetCounter("rewriter.queries_total");
   static metrics::Counter* rewrite_ns_total =
       metrics::GetCounter("rewriter.rewrite_ns_total");
   queries_total->Increment();
   ScopedNsCounter timer(rewrite_ns_total);
-  ASSIGN_OR_RETURN(engine::Statement stmt, engine::ParseSql(sql));
-  switch (stmt.kind) {
+  switch (stmt->kind) {
     case engine::StatementKind::kSelect:
     case engine::StatementKind::kExplain:
-      RETURN_NOT_OK(RewriteSelect(stmt.select.get()));
-      break;
+      return RewriteSelect(stmt->select.get());
     case engine::StatementKind::kUpdate:
-      RETURN_NOT_OK(RewriteUpdate(stmt.update.get()));
-      break;
+      return RewriteUpdate(stmt->update.get());
     case engine::StatementKind::kDelete:
-      RETURN_NOT_OK(RewriteDelete(stmt.del.get()));
-      break;
+      return RewriteDelete(stmt->del.get());
     default:
-      break;  // CREATE/INSERT/ANALYZE pass through
+      return Status::OK();  // CREATE/INSERT/ANALYZE pass through
   }
-  return stmt;
 }
 
 }  // namespace sinew

@@ -44,14 +44,13 @@ class QueryRewriter {
   /// Parses `sql` and rewrites it in place against the physical schema.
   Result<engine::Statement> Rewrite(std::string_view sql) const;
 
+  /// Rewrites an already-parsed statement in place: Rewrite() without the
+  /// parse, so callers can time the two phases apart.
+  Status RewriteStatement(engine::Statement* stmt) const;
+
   Status RewriteSelect(engine::SelectStatement* stmt) const;
   Status RewriteUpdate(engine::UpdateStatement* stmt) const;
   Status RewriteDelete(engine::DeleteStatement* stmt) const;
-
-  /// Top-level logical column names of a table (SELECT * expansion order:
-  /// first-observed attribute order, one entry per key name).
-  std::vector<std::string> TopLevelLogicalColumns(
-      const std::string& table) const;
 
  private:
   class Impl;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "engine/database.h"
 
 namespace sinew::engine {
@@ -239,6 +242,53 @@ TEST_F(ExecTest, IntermediateMemoryBudgetAborts) {
   auto r = db_.Execute("SELECT a.id FROM people a, people b WHERE a.name = b.name");
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsAborted());
+}
+
+TEST(DenseProjectionTest, RepeatedInputSlotFillsEveryColumn) {
+  // No filter, so every projected batch is dense and bare column refs take
+  // the input column whole: `a` is copied for its first two uses and moved
+  // on its last, after `a + 1` has read it. Each output column must hold
+  // the full values at every batch size (1 is the row path; 2 and 256 the
+  // batch path, with 600 rows spanning several batches).
+  constexpr int kRows = 600;
+  for (size_t batch_size : {1, 2, 256}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    Database db;
+    ExecOptions options;
+    options.batch_size = batch_size;
+    db.set_exec_options(options);
+    ASSERT_TRUE(db.Execute("CREATE TABLE t (a int, b int)").ok());
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < kRows; ++i) {
+      if (i > 0) insert += ", ";
+      const std::string a = i % 7 == 0 ? "NULL" : std::to_string(i);
+      insert += "(" + a + ", " + std::to_string(2 * i) + ")";
+    }
+    ASSERT_TRUE(db.Execute(insert).ok());
+    Result<QueryResult> r = db.Execute("SELECT a, b, a, a + 1, a FROM t");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), static_cast<size_t>(kRows));
+    std::vector<bool> seen(kRows, false);
+    for (const DatumRow& row : r->rows) {
+      ASSERT_EQ(row.size(), 5u);
+      ASSERT_TRUE(row[1].is_int());
+      const int64_t i = row[1].int_value() / 2;
+      ASSERT_GE(i, 0);
+      ASSERT_LT(i, kRows);
+      EXPECT_FALSE(seen[i]) << "duplicate row " << i;
+      seen[i] = true;
+      if (i % 7 == 0) {
+        for (size_t c : {0u, 2u, 3u, 4u}) EXPECT_TRUE(row[c].is_null()) << c;
+        continue;
+      }
+      for (size_t c : {0u, 2u, 4u}) {
+        ASSERT_TRUE(row[c].is_int()) << "row " << i << " col " << c;
+        EXPECT_EQ(row[c].int_value(), i) << "col " << c;
+      }
+      ASSERT_TRUE(row[3].is_int()) << "row " << i;
+      EXPECT_EQ(row[3].int_value(), i + 1);
+    }
+  }
 }
 
 TEST_F(ExecTest, ExplainProducesPlanText) {

@@ -17,7 +17,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sinew/sinew_db.h"
@@ -148,6 +151,40 @@ class ExtractionDifferentialTest : public ::testing::Test {
     EXPECT_EQ(CanonicalRows(*pp), golden) << "per-attr parallel drifted";
   }
 
+  /// Distinct sinew_extract_chain[_bytes] calls in the rewritten statement,
+  /// by text: the attributes a correctly deduped hoist extracts, each once.
+  static size_t DistinctChainCalls(SinewDb* db, const std::string& sql) {
+    Result<engine::Statement> stmt = db->rewriter().Rewrite(sql);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    if (!stmt.ok()) return 0;
+    std::set<std::string> calls;
+    std::function<void(const engine::Expr&)> walk =
+        [&](const engine::Expr& e) {
+          if (e.kind == engine::ExprKind::kFunction &&
+              e.fname.rfind("sinew_extract_chain", 0) == 0) {
+            calls.insert(e.ToString());
+            return;
+          }
+          for (const engine::ExprPtr& a : e.args) walk(*a);
+        };
+    for (const engine::SelectItem& item : stmt->select->items) {
+      walk(*item.expr);
+    }
+    if (stmt->select->where != nullptr) walk(*stmt->select->where);
+    return calls.size();
+  }
+
+  /// The N of every "SinewExtract (attrs=N, ...)" line of an EXPLAIN text.
+  static std::vector<size_t> ExtractNodeAttrs(const std::string& plan) {
+    static constexpr std::string_view kTag = "SinewExtract (attrs=";
+    std::vector<size_t> attrs;
+    for (size_t at = plan.find(kTag); at != std::string::npos;
+         at = plan.find(kTag, at + 1)) {
+      attrs.push_back(std::stoul(plan.substr(at + kTag.size())));
+    }
+    return attrs;
+  }
+
   static std::vector<Value>* docs_;
   static nb::QueryParams* params_;
   static SinewDb* batched_serial_;
@@ -248,6 +285,65 @@ TEST_F(ExtractionDifferentialTest, OrderByVirtualAttribute) {
   ExpectSameResults(
       "SELECT str2 AS s, thousandth AS t FROM docs "
       "ORDER BY thousandth, str2 LIMIT 50");
+}
+
+TEST_F(ExtractionDifferentialTest, SelectStarUnderNoBenchPredicates) {
+  // The full ~30-attribute star under the Q5 (dirty str1 equality), Q7
+  // (multi-typed dyn1 range) and Q9 (sparse key) predicates: predicate
+  // sites and the star's projection sites of the same attribute dedupe
+  // onto one output column.
+  ExpectSameResults("SELECT * FROM docs WHERE str1 = '" + params_->q5_str1 +
+                    "'");
+  ExpectSameResults("SELECT * FROM docs WHERE dyn1 BETWEEN " +
+                    std::to_string(params_->q7_lo) + " AND " +
+                    std::to_string(params_->q7_hi));
+  ExpectSameResults("SELECT * FROM docs WHERE " + params_->q9_sparse_key +
+                    " IS NOT NULL");
+}
+
+TEST_F(ExtractionDifferentialTest, OneAttributeUnderSeveralAliases) {
+  // str2 is projected twice and filtered on; thousandth is projected and
+  // filtered on. All five sites collapse onto two extraction targets.
+  ExpectSameResults(
+      "SELECT str2 AS a, thousandth AS t, str2 AS b FROM docs "
+      "WHERE str2 IS NOT NULL AND thousandth < 100");
+}
+
+TEST_F(ExtractionDifferentialTest, ExtractNodesCountEachAttributeOnce) {
+  // Every distinct extraction call of the rewritten statement is served by
+  // exactly one SinewExtract target: repeats (aliases, predicate plus
+  // projection, a star over filtered attributes) add no targets.
+  const std::vector<std::string> queries = {
+      "SELECT str2 AS a, thousandth AS t, str2 AS b FROM docs "
+      "WHERE str2 IS NOT NULL AND thousandth < 100",
+      "SELECT str2 AS a, thousandth AS t, str2 AS b FROM docs "
+      "WHERE str2 IS NOT NULL AND str2 > '' AND thousandth < 100",
+      "SELECT str2 AS a, bool AS b, str2 AS c, bool AS d, dyn2 AS e "
+      "FROM docs WHERE str2 IS NOT NULL AND thousandth < 100",
+      "SELECT * FROM docs WHERE str1 = '" + params_->q5_str1 + "'",
+      "SELECT * FROM docs WHERE dyn1 BETWEEN " +
+          std::to_string(params_->q7_lo) + " AND " +
+          std::to_string(params_->q7_hi),
+      "SELECT * FROM docs WHERE " + params_->q9_sparse_key + " IS NOT NULL",
+  };
+  for (const std::string& sql : queries) {
+    SCOPED_TRACE(sql);
+    Result<std::string> plan = batched_serial_->Explain(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const std::vector<size_t> attrs = ExtractNodeAttrs(*plan);
+    ASSERT_FALSE(attrs.empty()) << *plan;
+    size_t total = 0;
+    for (size_t n : attrs) total += n;
+    EXPECT_EQ(total, DistinctChainCalls(batched_serial_, sql)) << *plan;
+  }
+  // The aliased queries extract exactly their two attributes, in one node
+  // below the rebuilt filter (every projection site reuses its column),
+  // however often the predicate repeats one of them.
+  for (size_t q : {0u, 1u}) {
+    Result<std::string> plan = batched_serial_->Explain(queries[q]);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(ExtractNodeAttrs(*plan), std::vector<size_t>{2}) << *plan;
+  }
 }
 
 }  // namespace

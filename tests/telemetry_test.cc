@@ -170,6 +170,23 @@ TEST_F(TelemetryTablesTest, QueryLogRecordsTraceAndPlanIdentity) {
   EXPECT_GT(r.rows[0][3].int_value(), 0);
 }
 
+TEST_F(TelemetryTablesTest, QueryLogTimesParseAndRewriteApart) {
+  // SELECT * expands in the rewriter, so both phases do measurable work.
+  Q("SELECT * FROM logs WHERE hits > 20");
+  const std::string fp =
+      NormalizeFingerprint("SELECT * FROM logs WHERE hits > 20");
+  auto r = Q("SELECT parse_ns, rewrite_ns, plan_ns, exec_ns, total_ns "
+             "FROM sinew_query_log WHERE fingerprint = '" + fp + "'");
+  ASSERT_EQ(r.rows.size(), 1u);
+  const auto& row = r.rows[0];
+  EXPECT_GT(row[0].int_value(), 0);  // parse_ns: ParseSql alone
+  EXPECT_GT(row[1].int_value(), 0);  // rewrite_ns: star expansion etc.
+  // The phases are disjoint slices of the query's wall clock.
+  EXPECT_LE(row[0].int_value() + row[1].int_value() + row[2].int_value() +
+                row[3].int_value(),
+            row[4].int_value());
+}
+
 TEST_F(TelemetryTablesTest, AttributeStatsTrackExtractionHeat) {
   // Heat is accounted on the batched extraction lane (the planner's Extract
   // node), where the strip-vs-reservoir split exists. Predicate-pushdown
