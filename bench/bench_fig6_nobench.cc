@@ -3,12 +3,9 @@
 // "large" is 4x). Prints one row per query with per-system execution time in
 // milliseconds — the series plotted in Figures 6a and 6b. A fifth column,
 // "Sinew-row1", runs the same Sinew configuration with the vectorized
-// executor disabled (batch_size = 1), so every run measures the
-// batch-at-a-time speedup in the same process on the same data. A sixth,
-// "Sinew-treewalk", disables expression compilation only (batched tree-walk
-// evaluation) — the per-query baseline for the bytecode regression gate:
-//   python3 bench/compare_bench.py BENCH_fig6_nobench.json
-//           --configs=small.Sinew-treewalk,small.Sinew
+// executor disabled (batch_size = 1: row at a time, expressions on the
+// scalar evaluator), so every run measures the batch-at-a-time speedup in
+// the same process on the same data.
 //
 // --threads=N sets Sinew's Gather parallelism; --metrics-out=<path> appends
 // the metrics-registry JSON; --bench-out=<dir> places the
@@ -48,13 +45,6 @@ void RunScale(const char* label, const char* tag, uint64_t records,
   row_options.exec.batch_size = 1;
   runners.push_back(std::make_unique<nb::SinewRunner>(row_options,
                                                       "Sinew-row1"));
-  // And minus expression compilation: batched tree-walk evaluation, the
-  // baseline for the bytecode gate (compare_bench.py
-  // --configs=small.Sinew-treewalk,small.Sinew).
-  sinew::SinewOptions treewalk_options = sinew_options;
-  treewalk_options.planner.enable_bytecode = false;
-  runners.push_back(std::make_unique<nb::SinewRunner>(treewalk_options,
-                                                      "Sinew-treewalk"));
   for (auto& runner : runners) {
     sinew::Status st = runner->Load(docs);
     if (st.ok()) st = runner->Prepare();
@@ -101,7 +91,7 @@ void RunScale(const char* label, const char* tag, uint64_t records,
       bench_records->push_back({"Q" + std::to_string(q),
                                 std::string(tag) + "." + name, ms, records,
                                 threads,
-                                name == "Sinew" || name == "Sinew-treewalk"
+                                name == "Sinew"
                                     ? sinew_options.exec.batch_size
                                 : name == "Sinew-row1" ? 1
                                                        : 0});

@@ -51,7 +51,8 @@ const char* OpCodeName(OpCode op) {
 namespace {
 
 // Register/literal pools are uint16-indexed; real expressions sit far below
-// these, so hitting a cap means "stay on the tree walk", not an error.
+// these, so hitting a cap means "evaluate the whole expression per lane on
+// the scalar evaluator", not an error.
 constexpr size_t kMaxRegs = 4096;
 constexpr size_t kMaxLiterals = 4096;
 constexpr size_t kMaxAux = 0xFFFF;
@@ -117,7 +118,7 @@ void CollectSlots(const Expr& e, std::vector<int>* slots) {
 }
 
 /// The fallback-free operand forms: operands that cannot error and carry no
-/// evaluation-order footprint (same rule as the tree walk's IsSimpleOperand).
+/// evaluation-order footprint.
 bool IsSimpleOperand(const Expr& e) {
   return e.kind == ExprKind::kLiteral ||
          (e.kind == ExprKind::kColumnRef && e.bound_slot >= 0);
@@ -130,7 +131,13 @@ class Compiler {
 
   std::shared_ptr<const Program> Run(const Expr& expr) {
     std::optional<Operand> result = CompileNode(expr);
-    if (!result.has_value() || failed_) return nullptr;
+    if (!result.has_value() || failed_) {
+      // No instruction for some node, or a pool overflowed: discard the
+      // partial program and escape the whole expression to the scalar
+      // evaluator, which then also owns the error text.
+      *this = Compiler(width_, udfs_);
+      result = EmitFallback(expr);
+    }
     return Finish(*result);
   }
 
@@ -167,8 +174,8 @@ class Compiler {
   }
 
   /// Operand for a simple (literal / bound colref) expression. Bails when a
-  /// bound slot lies outside the compile-time schema — the tree walk owns
-  /// the error text for that.
+  /// bound slot lies outside the compile-time schema — the scalar evaluator
+  /// owns the error text for that.
   std::optional<Operand> SimpleOperand(const Expr& e) {
     if (e.kind == ExprKind::kLiteral) {
       return Operand{Operand::Kind::kLit, InternLiteral(e.literal)};
@@ -190,7 +197,6 @@ class Compiler {
     CollectSlots(e, &slots);
     std::sort(slots.begin(), slots.end());
     slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
-    if (slots.size() > 0xFFFF) failed_ = true;
     fb_slot_sets_.push_back(std::move(slots));
     ins.dst = AllocResult({});
     instrs_.push_back(ins);
@@ -324,8 +330,7 @@ class Compiler {
       }
       case ExprKind::kInList: {
         // The row path stops evaluating list items after a match, so only
-        // items that cannot error may run eagerly — the same rule as the
-        // tree walk's batch kernel.
+        // items that cannot error may run eagerly.
         for (size_t i = 1; i < e.args.size(); ++i) {
           if (!IsSimpleOperand(*e.args[i])) return EmitFallback(e);
         }
@@ -417,7 +422,7 @@ class Compiler {
               arena.AllocateArray<int>(std::max<size_t>(slots.size(), 1));
           std::copy(slots.begin(), slots.end(), arr);
           ins.fb_slots = arr;
-          ins.fb_slot_count = static_cast<uint16_t>(slots.size());
+          ins.fb_slot_count = static_cast<uint32_t>(slots.size());
           break;
         }
         default:
@@ -458,7 +463,7 @@ class Compiler {
 struct BatchSrc {
   const RowBatch* batch;
   static constexpr bool kIsRow = false;
-  const Datum& Col(uint16_t slot, uint32_t lane) const {
+  const Datum& Col(uint32_t slot, uint32_t lane) const {
     return batch->cols[slot][lane];
   }
   size_t width() const { return batch->num_cols(); }
@@ -470,7 +475,7 @@ struct BatchSrc {
 struct RowSrc {
   const DatumRow* row;
   static constexpr bool kIsRow = true;
-  const Datum& Col(uint16_t slot, uint32_t) const { return (*row)[slot]; }
+  const Datum& Col(uint32_t slot, uint32_t) const { return (*row)[slot]; }
   size_t width() const { return row->size(); }
   const DatumRow* full_row() const { return row; }
 };
@@ -1317,12 +1322,12 @@ Status RunProgram(const Program& prog, const Src& src,
           DatumRow& scratch = st->scratch;
           scratch.resize(src.width());
           for (size_t i = 0; i < n; ++i) {
-            for (uint16_t k = 0; k < ins.fb_slot_count; ++k) {
+            for (uint32_t k = 0; k < ins.fb_slot_count; ++k) {
               const int s = ins.fb_slots[k];
               // Out-of-range slots stay uncopied; the scalar evaluator
               // reports them with the row path's own error text.
               if (static_cast<size_t>(s) < scratch.size()) {
-                scratch[s] = src.Col(static_cast<uint16_t>(s), L[i]);
+                scratch[s] = src.Col(static_cast<uint32_t>(s), L[i]);
               }
             }
             ASSIGN_OR_RETURN(Datum v, EvalExpr(*ins.fallback, scratch, udfs));
@@ -1356,10 +1361,8 @@ std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
   const uint64_t start = metrics::NowNanos();
   Compiler compiler(input_width, udfs);
   std::shared_ptr<const Program> program = compiler.Run(expr);
-  if (program != nullptr) {
-    programs_total->Increment();
-    compile_ns_total->Add(metrics::NowNanos() - start);
-  }
+  programs_total->Increment();
+  compile_ns_total->Add(metrics::NowNanos() - start);
   return program;
 }
 

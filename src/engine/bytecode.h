@@ -17,7 +17,7 @@
 //   - kBoolFork/kBoolJoin implement Kleene AND/OR by lane partitioning: the
 //     fork evaluates the left side, writes decided lanes (false AND _,
 //     true OR _) and narrows the lane set to the undecided rows for the
-//     right-side region, exactly mirroring the tree-walk EvalBinaryBatch —
+//     right-side region, mirroring the scalar evaluator's short-circuit —
 //     a right-side runtime error fires for the same rows it would
 //     row-at-a-time.
 //   - kFallbackLane covers everything without a vector kernel (CASE,
@@ -35,10 +35,11 @@
 // instances over the same plan share one program; all mutable execution
 // scratch lives in the per-operator-instance ExecState.
 //
-// `Compile` returns nullptr when the expression contains a shape the
-// compiler does not handle (unbound references, stars, pathological depth);
-// callers then stay on the tree-walk evaluator, whose error text is the
-// contract.
+// `Compile` is total. When the expression contains a shape the compiler has
+// no instruction for (unbound references, stars) or overflows a pool
+// (registers, literals), the program is one kFallbackLane instruction over
+// the whole expression, so the scalar evaluator's result and error text are
+// the contract.
 
 #ifndef SINEW_ENGINE_BYTECODE_H_
 #define SINEW_ENGINE_BYTECODE_H_
@@ -110,7 +111,7 @@ struct Instr {
   const UdfFn* fn = nullptr;     // kCallUdf / kUdfCmpLit
   const Expr* fallback = nullptr;    // kFallbackLane: the original subtree
   const int* fb_slots = nullptr;     // sorted unique bound slots of fallback
-  uint16_t fb_slot_count = 0;
+  uint32_t fb_slot_count = 0;
 };
 
 /// A compiled, immutable expression program. All referenced memory (instrs,
@@ -232,22 +233,23 @@ void SetTypedKernelsEnabled(bool enabled);
 /// columns match the schema the expression was bound against (`input_width`
 /// slots). `udfs` resolves function calls at compile time; the resolved
 /// UdfFn pointers stay valid for the registry's lifetime (std::map nodes).
-/// Returns nullptr when the expression cannot be compiled — the caller keeps
-/// using the tree-walk evaluator.
+/// Never returns nullptr: an expression the compiler cannot lower becomes a
+/// single kFallbackLane instruction over the whole tree.
 std::shared_ptr<const Program> Compile(const Expr& expr, size_t input_width,
                                        const UdfRegistry* udfs);
 
 /// Evaluates the program for every lane in `lanes` (physical row indices
-/// into `batch`), one datum per lane into `*out` — the compiled counterpart
-/// of EvalExprBatch.
+/// into `batch`), one datum per lane into `*out` — the batch counterpart of
+/// EvalExpr.
 Status ExecBatch(const Program& program, const RowBatch& batch,
                  const std::vector<uint32_t>& lanes, const UdfRegistry* udfs,
                  ExecState* state, std::vector<Datum>* out);
 
 /// Predicate mode: evaluates over the lanes in `*sel` and keeps only the
 /// TRUE lanes (NULL filters, non-boolean errors), preserving order — the
-/// compiled EvalPredicateBatch. Single-instruction fused programs refine the
-/// selection vector directly without materializing a boolean column.
+/// batch counterpart of EvalPredicate. Single-instruction fused programs
+/// refine the selection vector directly without materializing a boolean
+/// column.
 Status ExecPredicateBatch(const Program& program, const RowBatch& batch,
                           const UdfRegistry* udfs, ExecState* state,
                           std::vector<uint32_t>* sel);

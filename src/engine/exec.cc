@@ -313,6 +313,11 @@ class ScanOp : public Operator {
   Result<bool> Next(DatumRow* out) override {
     Table* table = node_.table;
     lazy_active_ = false;  // row-at-a-time consumers always get real bytes
+    // Row mode filters on the scalar evaluator. In batch mode a row-only
+    // parent (hash join, aggregate) may still pull rows one at a time; the
+    // compiled filter keeps serving those.
+    const bytecode::Program* filter_program =
+        batch_capacity_ > 1 ? node_.scan_filter_program.get() : nullptr;
     while (rid_ < end_ ||
            (morsels_ != nullptr && morsels_->Claim(&rid_, &end_))) {
       // Chunked shared latching: hold the latch for up to kScanChunk rows so
@@ -324,7 +329,8 @@ class ScanOp : public Operator {
       }
       uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
       for (; rid_ < chunk_end; ++rid_) {
-        ASSIGN_OR_RETURN(bool has, DecodeRowUnlocked(rid_, out));
+        ASSIGN_OR_RETURN(bool has,
+                         DecodeRowUnlocked(rid_, filter_program, out));
         if (!has) continue;
         ++rid_;
         return true;
@@ -352,7 +358,9 @@ class ScanOp : public Operator {
       RefreshLazyStateUnlocked(table, batch);
       uint64_t chunk_end = std::min(end_, rid_ + kScanChunk);
       for (; rid_ < chunk_end && batch->size < batch_capacity_; ++rid_) {
-        ASSIGN_OR_RETURN(bool has, DecodeRowUnlocked(rid_, &row));
+        ASSIGN_OR_RETURN(bool has,
+                         DecodeRowUnlocked(
+                             rid_, node_.scan_filter_program.get(), &row));
         if (has) batch->AppendRow(std::move(row));
       }
     }
@@ -438,9 +446,13 @@ class ScanOp : public Operator {
   }
 
   /// Decodes row slot `rid` into `*out` (survivor of the deleted-row check
-  /// and the pushed-down filter), exactly the row-at-a-time inner loop.
-  /// Caller holds the table latch.
-  Result<bool> DecodeRowUnlocked(uint64_t rid, DatumRow* out) {
+  /// and the pushed-down filter), exactly the row-at-a-time inner loop. The
+  /// filter runs as `filter_program` when one is given (batch mode) and on
+  /// the scalar evaluator otherwise (row mode). Caller holds the table
+  /// latch.
+  Result<bool> DecodeRowUnlocked(uint64_t rid,
+                                 const bytecode::Program* filter_program,
+                                 DatumRow* out) {
     Table* table = node_.table;
     const size_t rid_position = live_slots_.size();
     const std::string& raw = table->RawRowUnlocked(rid);
@@ -464,11 +476,10 @@ class ScanOp : public Operator {
     row[rid_position] = Datum::Int(static_cast<int64_t>(rid));
     if (node_.scan_filter != nullptr) {
       bool keep;
-      if (node_.scan_filter_program != nullptr) {
-        ASSIGN_OR_RETURN(keep,
-                         bytecode::ExecPredicateRow(*node_.scan_filter_program,
-                                                    row, ctx_->udfs,
-                                                    &bc_state_));
+      if (filter_program != nullptr) {
+        ASSIGN_OR_RETURN(keep, bytecode::ExecPredicateRow(
+                                   *filter_program, row, ctx_->udfs,
+                                   &bc_state_));
       } else {
         ASSIGN_OR_RETURN(keep,
                          EvalPredicate(*node_.scan_filter, row, ctx_->udfs));
@@ -546,16 +557,8 @@ class FilterOp : public Operator {
     while (true) {
       ASSIGN_OR_RETURN(bool has, child_->Next(out));
       if (!has) return false;
-      bool keep;
-      if (node_.predicate_program != nullptr) {
-        ASSIGN_OR_RETURN(keep,
-                         bytecode::ExecPredicateRow(*node_.predicate_program,
-                                                    *out, ctx_->udfs,
-                                                    &bc_state_));
-      } else {
-        ASSIGN_OR_RETURN(keep,
-                         EvalPredicate(*node_.predicate, *out, ctx_->udfs));
-      }
+      ASSIGN_OR_RETURN(bool keep,
+                       EvalPredicate(*node_.predicate, *out, ctx_->udfs));
       if (keep) return true;
     }
   }
@@ -566,9 +569,9 @@ class FilterOp : public Operator {
   Result<bool> NextBatch(RowBatch* batch) override {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(batch));
     if (!has) return false;
-    RETURN_NOT_OK(EvalPredicateBatch(*node_.predicate,
-                                     node_.predicate_program.get(), &bc_state_,
-                                     *batch, ctx_->udfs, &batch->sel));
+    RETURN_NOT_OK(bytecode::ExecPredicateBatch(*node_.predicate_program,
+                                               *batch, ctx_->udfs, &bc_state_,
+                                               &batch->sel));
     return true;
   }
 
@@ -659,12 +662,9 @@ class ProjectOp : public Operator {
         }
         continue;
       }
-      const bytecode::Program* prog =
-          c < node_.projection_programs.size()
-              ? node_.projection_programs[c].get()
-              : nullptr;
-      RETURN_NOT_OK(EvalExprBatch(p, prog, &bc_state_, in_, in_.sel,
-                                  ctx_->udfs, &batch->cols[c]));
+      RETURN_NOT_OK(bytecode::ExecBatch(*node_.projection_programs[c], in_,
+                                        in_.sel, ctx_->udfs, &bc_state_,
+                                        &batch->cols[c]));
     }
     batch->size = in_.active();
     batch->sel.resize(batch->size);
@@ -1022,11 +1022,9 @@ class ExtractOp : public Operator {
     for (const TargetHeat& h : heat_) reservoir_total += h.reservoir_served;
     std::vector<AttrAccessSample> samples;
     samples.reserve(heat_.size());
-    const std::string& table = node_.extract_table->name();
     for (size_t t = 0; t < heat_.size(); ++t) {
       if (heat_[t].requests == 0) continue;
       AttrAccessSample s;
-      s.table = table;
       s.attr_id = node_.extract_targets[t].attr_id;
       s.requests = heat_[t].requests;
       s.strip_served = heat_[t].strip_served;
@@ -1037,7 +1035,9 @@ class ExtractOp : public Operator {
                               reservoir_total;
       samples.push_back(std::move(s));
     }
-    if (!samples.empty()) (*ctx_->udfs->heat_sink())(samples);
+    if (!samples.empty()) {
+      (*ctx_->udfs->heat_sink())(node_.extract_table->name(), samples);
+    }
   }
 
   const PlanNode& node_;
@@ -2167,7 +2167,7 @@ void AppendAnalyzedNode(const PlanNode& node, const PlanStats& stats,
              << s->zone_skips.load(std::memory_order_relaxed) << ")";
       }
       // Compiled-expression shape: static opcode counts from the attached
-      // program(s) plus the lanes that escaped to the tree-walk evaluator.
+      // program(s) plus the lanes that escaped to the scalar evaluator.
       {
         uint64_t ops = 0, fused = 0;
         bool compiled = false;

@@ -49,7 +49,7 @@ struct OperatorStats {
   // kSeqScan only:
   std::atomic<uint64_t> zone_skips{0};  // strips skipped via zone maps
   // bytecode-compiled nodes only:
-  std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes routed to tree walk
+  std::atomic<uint64_t> bc_fallback_lanes{0};  // lanes routed to EvalExpr
   std::atomic<uint64_t> bc_typed_lanes{0};     // lanes on monomorphic kernels
   std::atomic<uint64_t> bc_boxed_lanes{0};     // specializable lanes left boxed
 };
@@ -94,9 +94,11 @@ struct ExecOptions {
   PlanStats* stats = nullptr;
   /// Rows per RowBatch on the vectorized path. Values > 1 (the default) run
   /// the scan→extract→filter→project→limit pipeline — and Gather's bounded
-  /// queue — batch-at-a-time; 1 restores the row-at-a-time Volcano loop
-  /// exactly (blocking operators always consume rows either way, through
-  /// the row↔batch adapters). 256 is the sweet spot of the
+  /// queue — batch-at-a-time, with expressions on the bytecode VM; 1
+  /// restores the row-at-a-time Volcano loop exactly and evaluates every
+  /// expression with the scalar EvalExpr, the semantic oracle (blocking
+  /// operators always consume rows either way, through the row↔batch
+  /// adapters). 256 is the sweet spot of the
   /// bench_micro_extract --batch-size sweep: big enough to amortize
   /// per-batch dispatch, small enough that a wide batch's columns stay
   /// cache-resident (1024 measures ~8% slower on 33-column projections).

@@ -152,8 +152,9 @@ struct PlanNode {
   // planner's compile pass after every plan rewrite has run so the Expr
   // trees they alias are final. Immutable; Gather workers instantiate
   // operators over the same PlanNode and share them (per-instance scratch
-  // lives in each operator's bytecode::ExecState). Null entries mean "use
-  // the tree-walk evaluator".
+  // lives in each operator's bytecode::ExecState). Every filter predicate,
+  // scan filter and projection carries one: batch mode executes only these,
+  // row mode only the Expr trees.
   std::shared_ptr<const bytecode::Program> predicate_program;    // kFilter
   std::shared_ptr<const bytecode::Program> scan_filter_program;  // kSeqScan
   std::vector<std::shared_ptr<const bytecode::Program>>

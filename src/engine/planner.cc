@@ -104,33 +104,13 @@ void FoldPlanConstants(PlanNode* node) {
   for (PlanPtr& child : node->children) FoldPlanConstants(child.get());
 }
 
-/// Recomputes the per-lane fallback slot caches of every expression in the
-/// plan. Plan rewrites after binding (extraction hoisting in particular)
-/// redirect colref bound slots in place, which silently invalidates the
-/// caches BindExpr filled; this runs after the last rewrite so the batch
-/// evaluator and the bytecode compiler see current slot sets.
-void RefreshPlanSlotCaches(PlanNode* node) {
-  auto refresh = [](const ExprPtr& e) {
-    if (e != nullptr) RefreshFallbackSlotCaches(e.get());
-  };
-  refresh(node->scan_filter);
-  refresh(node->predicate);
-  refresh(node->residual);
-  for (const ExprPtr& e : node->projections) refresh(e);
-  for (const ExprPtr& e : node->sort_keys) refresh(e);
-  for (const ExprPtr& e : node->group_keys) refresh(e);
-  for (const ExprPtr& e : node->left_keys) refresh(e);
-  for (const ExprPtr& e : node->right_keys) refresh(e);
-  for (AggSpec& agg : node->aggs) refresh(agg.arg);
-  for (PlanPtr& child : node->children) RefreshPlanSlotCaches(child.get());
-}
-
 /// Final planning pass: compile the hot per-row expression slots — scan
 /// filters, filter predicates, projections — to bytecode programs
 /// (engine/bytecode.h). Runs after every plan rewrite (constant folding,
 /// zone-filter attachment, extraction hoisting, parallelization) so the
-/// Expr trees the programs alias are final. Expressions the compiler
-/// declines stay on the tree-walk evaluator (nullptr program).
+/// Expr trees the programs alias are final, and each program's fallback
+/// slot sets are collected from the final bindings. Compile is total, so
+/// every slot gets a program; batch mode executes only programs.
 void CompilePlanPrograms(PlanNode* node, const UdfRegistry* udfs) {
   switch (node->kind) {
     case PlanKind::kSeqScan:
@@ -1576,8 +1556,7 @@ Result<PlanPtr> Planner::SelectPlanner::Plan() {
     HoistBatchedExtraction(&root);
   }
   if (options_.parallelism > 1) ParallelizePlan(&root);
-  RefreshPlanSlotCaches(root.get());
-  if (options_.enable_bytecode) CompilePlanPrograms(root.get(), udfs_);
+  CompilePlanPrograms(root.get(), udfs_);
   return root;
 }
 

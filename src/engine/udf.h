@@ -46,9 +46,9 @@ struct BatchExtractStats {
 /// Per-attribute access telemetry accumulated by the extract operator and
 /// flushed to the heat sink when the operator closes. The engine knows
 /// attributes only by (table, attr_id); the sink owner (the Sinew layer's
-/// AttributeCatalog) resolves names and aggregates across queries.
+/// AttributeCatalog) resolves names and aggregates across queries. The
+/// table travels once per flush, beside the samples (HeatSinkFn).
 struct AttrAccessSample {
-  std::string table;
   uint32_t attr_id = 0;
   uint64_t requests = 0;          // lanes that asked for this attribute
   uint64_t strip_served = 0;      // lanes answered from a columnar strip
@@ -56,9 +56,11 @@ struct AttrAccessSample {
   uint64_t decode_ns = 0;         // share of reservoir decode time
 };
 
-/// Receives attribute-heat samples at operator close. Called on the query
-/// thread; implementations must be thread-safe across concurrent queries.
-using HeatSinkFn = std::function<void(const std::vector<AttrAccessSample>&)>;
+/// Receives one extract operator's attribute-heat samples, all of `table`,
+/// at operator close. Called on the query thread (or a Gather worker);
+/// implementations must be thread-safe across concurrent queries.
+using HeatSinkFn = std::function<void(
+    const std::string& table, const std::vector<AttrAccessSample>&)>;
 
 /// Batched extraction function: fills (*outs)[i] from targets[i] for one
 /// row. The planner guarantees targets arrive grouped by source_slot and

@@ -188,6 +188,38 @@ Result<std::string> SerializeDocument(const Value& doc,
   return w.Release();
 }
 
+namespace {
+
+/// The interning half of EncodeValueBody: objects intern their members and
+/// recurse with "path."; array elements recurse with the array's prefix.
+Status InternValue(const Value& value, AttributeDictionary* dict,
+                   const std::string& path_prefix) {
+  if (value.is_object()) return InternDocument(value, dict, path_prefix);
+  if (value.is_array()) {
+    for (const Value& e : value.array()) {
+      RETURN_NOT_OK(InternValue(e, dict, path_prefix));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status InternDocument(const Value& doc, AttributeDictionary* dict,
+                      const std::string& path_prefix) {
+  if (!doc.is_object()) {
+    return Status::InvalidArgument("can only intern objects, got ",
+                                   ValueTypeName(doc.type()));
+  }
+  for (const auto& [key, value] : doc.members()) {
+    if (value.is_null()) continue;  // absence encodes NULL
+    std::string path = path_prefix + key;
+    RETURN_NOT_OK(dict->Intern(path, value.type()).status());
+    RETURN_NOT_OK(InternValue(value, dict, path + "."));
+  }
+  return Status::OK();
+}
+
 Result<Value> DeserializeDocument(std::string_view data,
                                   const AttributeDictionary& dict) {
   DocumentView view(data);

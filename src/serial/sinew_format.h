@@ -55,6 +55,13 @@ Result<std::string> SerializeDocument(const Value& doc,
                                       AttributeDictionary* dict,
                                       const std::string& path_prefix = "");
 
+/// Interns every attribute path SerializeDocument(doc, dict, path_prefix)
+/// interns, in the same order, without encoding anything. A bulk load runs
+/// it over its documents in order so that attribute IDs do not depend on how
+/// a parallel serialize is scheduled.
+Status InternDocument(const Value& doc, AttributeDictionary* dict,
+                      const std::string& path_prefix = "");
+
 /// Reassembles the full logical document (inverse of SerializeDocument up to
 /// member ordering, which becomes attribute-ID order).
 Result<Value> DeserializeDocument(std::string_view data,

@@ -149,19 +149,13 @@ std::vector<std::string> AttributeCatalog::TableNames() const {
 }
 
 void AttributeCatalog::RecordHeat(
+    const std::string& table,
     const std::vector<engine::AttrAccessSample>& samples,
     uint64_t query_ordinal) {
   std::lock_guard lock(mutex_);
-  // A flush comes from one extract node, so its samples share one table:
-  // resolve the table's heat map once per run of equal names.
-  const std::string* table = nullptr;
-  std::map<uint32_t, AttrHeat>* table_heat = nullptr;
+  std::map<uint32_t, AttrHeat>& table_heat = heat_[table];
   for (const engine::AttrAccessSample& s : samples) {
-    if (table == nullptr || *table != s.table) {
-      table = &s.table;
-      table_heat = &heat_[s.table];
-    }
-    AttrHeat& heat = (*table_heat)[s.attr_id];
+    AttrHeat& heat = table_heat[s.attr_id];
     heat.extract_requests += s.requests;
     heat.strip_served += s.strip_served;
     heat.reservoir_served += s.reservoir_served;

@@ -114,10 +114,11 @@ class AttributeCatalog : public serial::AttributeDictionary {
   std::vector<std::string> TableNames() const;
 
   // --- attribute heat telemetry ---
-  /// Folds a batch of access samples (one extract operator's flush) into
-  /// the per-(table, attribute) heat entries under one mutex acquisition.
+  /// Folds a batch of access samples of `table` (one extract operator's
+  /// flush) into its per-attribute heat entries under one mutex acquisition.
   /// `query_ordinal` stamps recency (0 = unknown, keeps the old stamp).
-  void RecordHeat(const std::vector<engine::AttrAccessSample>& samples,
+  void RecordHeat(const std::string& table,
+                  const std::vector<engine::AttrAccessSample>& samples,
                   uint64_t query_ordinal);
   /// Heat entries of one table, keyed by attribute ID.
   std::map<uint32_t, AttrHeat> HeatSnapshot(const std::string& table) const;

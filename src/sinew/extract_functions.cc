@@ -336,8 +336,9 @@ void RegisterSinewFunctions(engine::UdfRegistry* registry,
   // across queries (surfaced as sinew_attribute_stats). Called from Gather
   // worker threads too — RecordHeat folds each flush under one catalog lock.
   registry->SetHeatSink(
-      [catalog](const std::vector<engine::AttrAccessSample>& samples) {
-        catalog->RecordHeat(samples,
+      [catalog](const std::string& table,
+                const std::vector<engine::AttrAccessSample>& samples) {
+        catalog->RecordHeat(table, samples,
                             qlog::QueryLog::Global()->CurrentOrdinal());
       });
   registry->Register("sinew_extract_text",

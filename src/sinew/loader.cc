@@ -39,6 +39,40 @@ Status CollectAttributeIds(const Value& doc, const std::string& prefix,
   return Status::OK();
 }
 
+/// The catalog as the parallel serialize phase sees it. Every path was
+/// interned beforehand, in document order, so Intern only looks IDs up; a
+/// path the pre-pass missed is an internal error, never a new ID assigned
+/// in thread-scheduling order.
+class InternedCatalog final : public serial::AttributeDictionary {
+ public:
+  explicit InternedCatalog(const AttributeCatalog& catalog)
+      : catalog_(catalog) {}
+
+  Result<uint32_t> Intern(std::string_view key, ValueType type) override {
+    std::optional<uint32_t> id = catalog_.FindId(key, type);
+    if (!id.has_value()) {
+      return Status::Internal("attribute ", key,
+                              " was not interned before serialization");
+    }
+    return *id;
+  }
+  std::optional<uint32_t> FindId(std::string_view key,
+                                 ValueType type) const override {
+    return catalog_.FindId(key, type);
+  }
+  Result<serial::Attribute> Lookup(uint32_t id) const override {
+    return catalog_.Lookup(id);
+  }
+  std::vector<serial::Attribute> FindAllTypes(
+      std::string_view key) const override {
+    return catalog_.FindAllTypes(key);
+  }
+  size_t size() const override { return catalog_.size(); }
+
+ private:
+  const AttributeCatalog& catalog_;
+};
+
 void IndexDocument(const Value& doc, const std::string& prefix, uint64_t rid,
                    textindex::InvertedIndex* index) {
   for (const auto& [key, value] : doc.members()) {
@@ -128,26 +162,33 @@ Result<uint64_t> Loader::LoadDocuments(const std::string& table,
   }
 
   // Phase 1 — serialize each document into its reservoir image and collect
-  // its attribute ids. This is the CPU-heavy part of a bulk load (catalog
-  // interning is internally synchronized), so it fans out over the shared
-  // pool; attribute-id interning order becomes nondeterministic, which is
-  // harmless — ids are opaque.
+  // its attribute ids. This is the CPU-heavy part of a bulk load, so it fans
+  // out over the shared pool. New attributes get their ids first, serially
+  // and in document order (the order a serial load interns them in), so the
+  // same load yields the same ids, plans and plan hashes at any parallelism;
+  // the workers only look ids up.
   std::vector<std::string> reservoirs(docs.size());
   std::vector<std::set<uint32_t>> doc_ids(docs.size());
-  auto serialize_range = [&](uint64_t lo, uint64_t hi) -> Status {
+  auto serialize_range = [&](serial::AttributeDictionary* dict, uint64_t lo,
+                             uint64_t hi) -> Status {
     for (uint64_t i = lo; i < hi; ++i) {
-      ASSIGN_OR_RETURN(reservoirs[i],
-                       serial::SerializeDocument(docs[i], catalog_));
+      ASSIGN_OR_RETURN(reservoirs[i], serial::SerializeDocument(docs[i], dict));
       RETURN_NOT_OK(CollectAttributeIds(docs[i], "", *catalog_, &doc_ids[i]));
     }
     return Status::OK();
   };
   if (parallelism_ > 1 && docs.size() >= 64) {
+    for (const Value& doc : docs) {
+      RETURN_NOT_OK(serial::InternDocument(doc, catalog_));
+    }
+    InternedCatalog interned(*catalog_);
     RETURN_NOT_OK(ThreadPool::Shared()->ParallelFor(
         0, docs.size(), 64, static_cast<size_t>(parallelism_),
-        serialize_range));
+        [&](uint64_t lo, uint64_t hi) {
+          return serialize_range(&interned, lo, hi);
+        }));
   } else {
-    RETURN_NOT_OK(serialize_range(0, docs.size()));
+    RETURN_NOT_OK(serialize_range(catalog_, 0, docs.size()));
   }
   uint64_t reservoir_bytes = 0;
   for (const std::string& r : reservoirs) reservoir_bytes += r.size();

@@ -145,10 +145,7 @@ Result<uint64_t> SinewRunner::StorageBytes() {
   return t->DataBytes();
 }
 
-namespace {
-
-/// The NoBench tasks in this repo's SQL surface (Sinew logical schema).
-Result<std::string> SinewSql(int q, const QueryParams& p) {
+Result<std::string> SinewTaskSql(int q, const QueryParams& p) {
   switch (q) {
     case 1:
       return std::string("SELECT str1, num FROM nobench_main");
@@ -192,17 +189,15 @@ Result<std::string> SinewSql(int q, const QueryParams& p) {
   }
 }
 
-}  // namespace
-
 Result<uint64_t> SinewRunner::Execute(int q, const QueryParams& p) {
-  ASSIGN_OR_RETURN(std::string sql, SinewSql(q, p));
+  ASSIGN_OR_RETURN(std::string sql, SinewTaskSql(q, p));
   ASSIGN_OR_RETURN(engine::QueryResult result, db_.Query(sql));
   if (q == 12) return static_cast<uint64_t>(result.rows[0][0].int_value());
   return static_cast<uint64_t>(result.rows.size());
 }
 
 Result<std::vector<Value>> SinewRunner::Run(int q, const QueryParams& p) {
-  ASSIGN_OR_RETURN(std::string sql, SinewSql(q, p));
+  ASSIGN_OR_RETURN(std::string sql, SinewTaskSql(q, p));
   const bool star = q >= 5 && q <= 9;
   ASSIGN_OR_RETURN(engine::QueryResult result, db_.Query(sql));
   std::vector<Value> rows;

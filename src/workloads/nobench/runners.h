@@ -30,6 +30,10 @@ Value CanonicalizeDocument(const Value& doc);
 /// Sorts canonical rows by their JSON rendering.
 void SortRows(std::vector<Value>* rows);
 
+/// Task q in [1, 12] in Sinew's SQL surface (the logical schema), as
+/// SinewRunner issues it.
+Result<std::string> SinewTaskSql(int q, const QueryParams& p);
+
 class SystemRunner {
  public:
   virtual ~SystemRunner() = default;

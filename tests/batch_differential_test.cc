@@ -11,7 +11,8 @@
 //
 // Batch size 3 is deliberately adversarial at 2000 rows: every morsel ends
 // in a partial batch, LIMIT 7 splits a batch, and the queue fills. 1024 is
-// the production default; 1 is the golden row executor.
+// oversized (the production default is 256); 1 is the golden row executor,
+// which evaluates every expression with the scalar EvalExpr.
 // SINEW_DIFF_PARALLELISM overrides the Gather degree (default 4), and CMake
 // registers the suite a second time at degree 2. Under SINEW_SANITIZE=thread
 // builds the suite doubles as a race detector for the batch queue.

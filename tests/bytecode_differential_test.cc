@@ -1,7 +1,7 @@
-// Bytecode vs. tree-walk differential tests: every query must return the
-// same multiset of rows (and surface the same errors) whether expressions
-// run as compiled postfix bytecode (planner.enable_bytecode = true, the
-// default) or through the tree-walk evaluator, row-at-a-time and batched,
+// Bytecode vs. scalar-evaluator differential tests: every query must return
+// the same multiset of rows (and surface the same errors) whether
+// expressions run as compiled postfix bytecode over batches (batch_size > 1)
+// or through the scalar EvalExpr row at a time (batch_size = 1, the golden),
 // serially and under Gather. The corpus is the NoBench generator's and the
 // query set is every NoBench task shape plus targeted shapes where a
 // compiled evaluator classically drifts from an interpreter: Kleene AND/OR
@@ -11,8 +11,8 @@
 // fallback lanes, and error queries whose message text must match exactly.
 //
 // Batch size 3 is adversarial (every morsel ends in a partial batch), 256 is
-// the production default, 1024 oversized, 1 the row-at-a-time Volcano loop
-// (which exercises the compiled scan-filter row path). SINEW_DIFF_PARALLELISM
+// the production default, 1024 oversized, 1 the row-at-a-time Volcano loop,
+// which evaluates with EvalExpr only. SINEW_DIFF_PARALLELISM
 // overrides the Gather degree (default 4); CMake registers the suite a
 // second time at degree 2. Under SINEW_SANITIZE=thread the suite doubles as
 // a race detector for the shared Program attached to the plan node.
@@ -143,7 +143,6 @@ class BytecodeDifferentialTest : public ::testing::Test {
 
   struct NamedRunner {
     std::string label;
-    bool bytecode = true;
     size_t batch_size = 1;
     int parallelism = 1;
     nb::SinewRunner* runner = nullptr;
@@ -158,23 +157,20 @@ class BytecodeDifferentialTest : public ::testing::Test {
 
     const int deg = ParallelDegree();
     configs_ = new std::vector<NamedRunner>{
-        // Index 0 is the golden: tree-walk, serial, row-at-a-time.
-        {"tree-row-serial", false, 1, 1},
-        {"tree-batch256-serial", false, 256, 1},
-        {"bc-row-serial", true, 1, 1},
-        {"bc-batch3-serial", true, 3, 1},
-        {"bc-batch256-serial", true, 256, 1},
-        {"bc-batch1024-serial", true, 1024, 1},
-        {"bc-row-parallel", true, 1, deg},
-        {"bc-batch3-parallel", true, 3, deg},
-        {"bc-batch256-parallel", true, 256, deg},
+        // Index 0 is the golden: the scalar evaluator, serial, row mode.
+        {"row-serial", 1, 1},
+        {"bc-batch3-serial", 3, 1},
+        {"bc-batch256-serial", 256, 1},
+        {"bc-batch1024-serial", 1024, 1},
+        {"row-parallel", 1, deg},
+        {"bc-batch3-parallel", 3, deg},
+        {"bc-batch256-parallel", 256, deg},
     };
     const std::vector<Value> poison = MakePoisonDocs(160);
     for (NamedRunner& c : *configs_) {
       SinewOptions options;
       options.parallelism = c.parallelism;
       options.planner.parallel_min_rows = 1;  // force Gather at test scale
-      options.planner.enable_bytecode = c.bytecode;
       options.exec.batch_size = c.batch_size;
       c.runner = new nb::SinewRunner(options);
       ASSERT_TRUE(c.runner->Load(*docs_).ok()) << c.label;
@@ -195,7 +191,7 @@ class BytecodeDifferentialTest : public ::testing::Test {
     docs_ = nullptr;
   }
 
-  /// Asserts every configuration returns the tree-walk golden's multiset.
+  /// Asserts every configuration returns the row-mode golden's multiset.
   void ExpectSameAcrossConfigs(const std::string& sql) {
     SCOPED_TRACE(sql);
     std::vector<std::string> golden;
@@ -227,6 +223,15 @@ class BytecodeDifferentialTest : public ::testing::Test {
         EXPECT_EQ(got.status().ToString(), golden) << c.label << " drifted";
       }
     }
+  }
+
+  /// The configuration labelled `label` (one of the list above).
+  static nb::SinewRunner* Runner(const std::string& label) {
+    for (NamedRunner& c : *configs_) {
+      if (c.label == label) return c.runner;
+    }
+    ADD_FAILURE() << "no configuration " << label;
+    return (*configs_)[0].runner;
   }
 
   static std::vector<Value>* docs_;
@@ -297,7 +302,7 @@ TEST_F(BytecodeDifferentialTest, KleeneNullLogic) {
   // of rows, so these predicates exercise every row of the Kleene tables:
   // NULL AND TRUE -> NULL (filtered), NULL OR TRUE -> TRUE (kept), and the
   // NOT of each. The fork/join lane partitioning must agree with the
-  // tree-walk evaluator lane for lane.
+  // scalar evaluator lane for lane.
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main "
       "WHERE sparse_110 = 'GBRDCMJR' OR num < 100");
@@ -331,7 +336,8 @@ TEST_F(BytecodeDifferentialTest, ShortCircuitGuardsRuntimeErrors) {
 
 TEST_F(BytecodeDifferentialTest, ErrorsSurfaceIdentically) {
   // Every lane errors, so the permitted which-lane-first deviation cannot
-  // change the surfaced status; message text must match the tree walk's.
+  // change the surfaced status; message text must match the scalar
+  // evaluator's.
   ExpectSameErrorAcrossConfigs(
       "SELECT num / 0 AS x FROM nobench_main WHERE num < 10");
   ExpectSameErrorAcrossConfigs(
@@ -360,6 +366,32 @@ TEST_F(BytecodeDifferentialTest, FallbackShapesStayExact) {
   ExpectSameAcrossConfigs(
       "SELECT num AS n FROM nobench_main "
       "WHERE length(str2) + 0 > 4 AND num < 300");
+}
+
+TEST_F(BytecodeDifferentialTest, LiteralPoolOverflowRunsOnFallbackLanes) {
+  // 5,000 distinct IN-list literals overflow the program's 4,096-entry
+  // literal pool, so the whole predicate compiles to one kFallbackLane
+  // instruction. Every configuration must still return the row-mode rows.
+  std::string list;
+  for (int i = 0; i < 5000; ++i) {
+    if (i > 0) list += ", ";
+    list += std::to_string(2 * i);
+  }
+  const std::string sql =
+      "SELECT num AS n FROM nobench_main WHERE num IN (" + list + ")";
+  ExpectSameAcrossConfigs(sql);
+#if !defined(SINEW_METRICS_DISABLED)
+  // Batch mode evaluates every row of the table on the fallback lane.
+  metrics::Counter* fallback = metrics::GetCounter("eval.fallback_lanes");
+  for (const char* label : {"bc-batch3-serial", "bc-batch256-serial"}) {
+    SCOPED_TRACE(label);
+    const uint64_t before = fallback->value();
+    Result<engine::QueryResult> got = Runner(label)->db()->Query(sql);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_FALSE(got->rows.empty());
+    EXPECT_GE(fallback->value() - before, kRecords);
+  }
+#endif
 }
 
 TEST_F(BytecodeDifferentialTest, ProjectionShapes) {
@@ -396,10 +428,10 @@ TEST_F(BytecodeDifferentialTest, ExtractionChainsUnderBytecode) {
 TEST_F(BytecodeDifferentialTest, PoisonMixedTypeColumnsStayExact) {
   // `v` changes Datum kind on consecutive rows, so no batch is ever
   // monomorphic: the typed profile must classify it kMixed and the boxed
-  // loops must produce the tree walk's exact Kleene/comparability verdicts
-  // (string lanes compare NULL against numeric literals and are filtered).
-  // Run the shapes with the kernels enabled and force-disabled: both paths
-  // feed the same differential against the tree-walk golden.
+  // loops must produce the scalar evaluator's exact Kleene/comparability
+  // verdicts (string lanes compare NULL against numeric literals and are
+  // filtered). Run the shapes with the kernels enabled and force-disabled:
+  // both paths feed the same differential against the row-mode golden.
   for (bool typed : {true, false}) {
     TypedKernelsGuard guard(typed);
     SCOPED_TRACE(typed ? "typed-on" : "typed-off");
@@ -420,7 +452,8 @@ TEST_F(BytecodeDifferentialTest, PoisonDoubleEdgeValuesStayExact) {
   // holding NaN, -0.0 and +0.0. SQL comparison treats NaN as equal to
   // everything and -0.0 == +0.0, so `d = 0` keeps the NaN and both zero
   // lanes, and BETWEEN keeps NaN (both bound checks "tie"). A kernel built
-  // on IEEE == / < would drift here; these pin it against the tree walk.
+  // on IEEE == / < would drift here; these pin it against the scalar
+  // evaluator.
   for (bool typed : {true, false}) {
     TypedKernelsGuard guard(typed);
     SCOPED_TRACE(typed ? "typed-on" : "typed-off");
@@ -485,7 +518,7 @@ TEST_F(BytecodeDifferentialTest, TypedLanesCountedOnlyWhenEnabled) {
   // kernels are on and eval.boxed_lanes (not typed) when forced off.
   metrics::Counter* typed_lanes = metrics::GetCounter("eval.typed_lanes");
   metrics::Counter* boxed_lanes = metrics::GetCounter("eval.boxed_lanes");
-  nb::SinewRunner* runner = (*configs_)[4].runner;  // bc-batch256-serial
+  nb::SinewRunner* runner = Runner("bc-batch256-serial");
   const std::string sql =
       "SELECT num + 1 AS x FROM nobench_main WHERE num >= 0";
   const uint64_t typed_before = typed_lanes->value();
@@ -501,21 +534,48 @@ TEST_F(BytecodeDifferentialTest, TypedLanesCountedOnlyWhenEnabled) {
 }
 
 TEST_F(BytecodeDifferentialTest, BytecodeConfigsActuallyCompile) {
-  // Guard against diffing the tree walk against itself: a bytecode config
-  // must compile programs at plan time, a tree-walk config must not.
+  // Guard against diffing the scalar evaluator against itself: a batch
+  // config must compile programs at plan time and run lanes on the VM.
   metrics::Counter* programs = metrics::GetCounter("bytecode.programs_total");
-  const uint64_t before = programs->value();
-  ASSERT_TRUE((*configs_)[4]  // bc-batch256-serial
-                  .runner->db()
-                  ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
-                  .ok());
-  EXPECT_GT(programs->value(), before) << "bytecode config never compiled";
-  const uint64_t mid = programs->value();
-  ASSERT_TRUE((*configs_)[0]  // tree-row-serial
-                  .runner->db()
-                  ->Query("SELECT num AS n FROM nobench_main WHERE num < 10")
-                  .ok());
-  EXPECT_EQ(programs->value(), mid) << "tree-walk config compiled programs";
+  metrics::Counter* typed_lanes = metrics::GetCounter("eval.typed_lanes");
+  metrics::Counter* boxed_lanes = metrics::GetCounter("eval.boxed_lanes");
+  const uint64_t programs_before = programs->value();
+  const uint64_t lanes_before = typed_lanes->value() + boxed_lanes->value();
+  ASSERT_TRUE(
+      Runner("bc-batch256-serial")
+          ->db()
+          ->Query("SELECT num + 1 AS x FROM nobench_main WHERE num < 10")
+          .ok());
+  EXPECT_GT(programs->value(), programs_before)
+      << "bytecode config never compiled";
+  EXPECT_GT(typed_lanes->value() + boxed_lanes->value(), lanes_before)
+      << "bytecode config never ran the VM";
+}
+
+TEST_F(BytecodeDifferentialTest, RowModeIsPureScalar) {
+  // batch_size = 1 is the oracle by construction: its plans carry programs
+  // like every plan, but no lane of a row-mode query reaches the VM.
+  metrics::Counter* typed_lanes = metrics::GetCounter("eval.typed_lanes");
+  metrics::Counter* boxed_lanes = metrics::GetCounter("eval.boxed_lanes");
+  metrics::Counter* fallback = metrics::GetCounter("eval.fallback_lanes");
+  for (const char* label : {"row-serial", "row-parallel"}) {
+    SCOPED_TRACE(label);
+    const uint64_t typed_before = typed_lanes->value();
+    const uint64_t boxed_before = boxed_lanes->value();
+    const uint64_t fallback_before = fallback->value();
+    for (const char* sql :
+         {"SELECT num AS n FROM nobench_main WHERE num < 10",
+          "SELECT num + 1 AS x FROM nobench_main "
+          "WHERE num BETWEEN 5 AND 50 OR str1 IS NULL",
+          "SELECT id AS i FROM poison WHERE v < 100 AND d >= 0"}) {
+      Result<engine::QueryResult> got = Runner(label)->db()->Query(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      EXPECT_FALSE(got->rows.empty()) << sql;
+    }
+    EXPECT_EQ(typed_lanes->value(), typed_before) << "typed VM lanes ran";
+    EXPECT_EQ(boxed_lanes->value(), boxed_before) << "boxed VM lanes ran";
+    EXPECT_EQ(fallback->value(), fallback_before) << "VM fallback lanes ran";
+  }
 }
 
 TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
@@ -523,8 +583,8 @@ TEST_F(BytecodeDifferentialTest, FallbackLanesAreCounted) {
   // eval.fallback_lanes counter (satellite: interpreter residue visible).
   metrics::Counter* fallback = metrics::GetCounter("eval.fallback_lanes");
   const uint64_t before = fallback->value();
-  ASSERT_TRUE((*configs_)[4]
-                  .runner->db()
+  ASSERT_TRUE(Runner("bc-batch256-serial")
+                  ->db()
                   ->Query("SELECT num AS n FROM nobench_main "
                           "WHERE CASE WHEN num < 500 THEN 1 = 1 "
                           "ELSE 1 = 2 END")

@@ -1,14 +1,18 @@
 // Bytecode compiler unit tests: fused-opcode selection for the dominant
 // expression shapes, literal-pool interning, register reuse, the fallback
-// contract, and direct VM execution over synthetic batches (including the
+// contract (Compile is total: shapes it cannot lower, and pool overflows,
+// become one kFallbackLane program over the whole expression), and direct
+// VM execution over synthetic batches (including the
 // select-mode fast path that refines the selection vector without
 // materializing a boolean column).
 
 #include "engine/bytecode.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -16,6 +20,7 @@
 #include <vector>
 
 #include "engine/datum.h"
+#include "engine/eval.h"
 #include "engine/expr.h"
 #include "engine/row_batch.h"
 #include "engine/udf.h"
@@ -204,7 +209,7 @@ TEST(BytecodeCompile, FallbackShapesAndSlotCollection) {
   EXPECT_EQ(q->instrs[0].op, bc::OpCode::kFallbackLane);
 
   // An unregistered function still compiles — to a fallback lane, so the
-  // tree-walk evaluator's unknown-function error surfaces at runtime.
+  // scalar evaluator's unknown-function error surfaces at runtime.
   ExprPtr unknown = Expr::Function("no_such_fn", {});
   unknown->args.push_back(Col(0));
   auto u = MustCompile(unknown, 4, &udfs);
@@ -212,11 +217,142 @@ TEST(BytecodeCompile, FallbackShapesAndSlotCollection) {
   EXPECT_EQ(u->instrs[0].op, bc::OpCode::kFallbackLane);
 }
 
-TEST(BytecodeCompile, UnboundAndOutOfRangeColumnsDoNotCompile) {
+/// Asserts `p` is the whole-expression escape: one kFallbackLane
+/// instruction aliasing `e` itself.
+void ExpectWholeFallback(const bc::Program& p, const Expr& e) {
+  ASSERT_EQ(p.num_instrs, 1u) << e.ToString();
+  EXPECT_EQ(p.instrs[0].op, bc::OpCode::kFallbackLane);
+  EXPECT_EQ(p.instrs[0].fallback, &e);
+  EXPECT_EQ(p.num_fallback, 1u);
+}
+
+TEST(BytecodeCompile, UnboundAndOutOfRangeColumnsCompileToFallback) {
+  // Shapes the compiler cannot lower still compile — to one fallback lane
+  // over the whole expression, whose execution reports the scalar
+  // evaluator's own error text.
+  RowBatch b = MakeBatch(3);
   ExprPtr unbound = Expr::Column("", "x");  // bound_slot = -1
-  EXPECT_EQ(bc::Compile(*unbound, 4, nullptr), nullptr);
-  EXPECT_EQ(bc::Compile(*Col(7), 4, nullptr), nullptr);  // width is 4
-  EXPECT_EQ(bc::Compile(*Expr::Star(""), 4, nullptr), nullptr);
+  ExprPtr beyond = Expr::Binary(BinaryOp::kLt, Col(7), Lit(1));  // width 2
+  ExprPtr star = Expr::Star("");
+  for (const ExprPtr* e : {&unbound, &beyond, &star}) {
+    auto p = MustCompile(*e, 2);
+    ExpectWholeFallback(*p, **e);
+    DatumRow row;
+    b.CopyRow(0, &row);
+    Result<Datum> scalar = EvalExpr(**e, row, nullptr);
+    ASSERT_FALSE(scalar.ok());
+    bc::ExecState st;
+    std::vector<Datum> out;
+    Status batch = bc::ExecBatch(*p, b, b.sel, nullptr, &st, &out);
+    EXPECT_EQ(batch.ToString(), scalar.status().ToString());
+    std::vector<uint32_t> sel = b.sel;
+    Status pred = bc::ExecPredicateBatch(*p, b, nullptr, &st, &sel);
+    EXPECT_EQ(pred.ToString(), scalar.status().ToString());
+  }
+  ExprPtr unbound_ref = Expr::Column("", "x");
+  std::vector<Datum> out;
+  bc::ExecState st;
+  Status s = bc::ExecBatch(*MustCompile(unbound_ref, 2), b, b.sel, nullptr,
+                           &st, &out);
+  EXPECT_NE(s.ToString().find("unbound column reference x"),
+            std::string::npos)
+      << s.ToString();
+}
+
+/// Runs the predicate program over `b` in batches of `batch_size` lanes and
+/// returns the kept lanes; `st` accumulates the lane counters.
+std::vector<uint32_t> RunInBatches(const bc::Program& p, const RowBatch& b,
+                                   size_t batch_size, bc::ExecState* st) {
+  std::vector<uint32_t> kept;
+  for (size_t lo = 0; lo < b.size; lo += batch_size) {
+    std::vector<uint32_t> sel;
+    for (size_t i = lo; i < std::min(b.size, lo + batch_size); ++i) {
+      sel.push_back(static_cast<uint32_t>(i));
+    }
+    Status s = bc::ExecPredicateBatch(p, b, nullptr, st, &sel);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    kept.insert(kept.end(), sel.begin(), sel.end());
+  }
+  return kept;
+}
+
+/// The lanes of `b` the scalar evaluator keeps, row at a time.
+std::vector<uint32_t> RowModeKept(const Expr& e, const RowBatch& b) {
+  std::vector<uint32_t> kept;
+  for (uint32_t i = 0; i < b.size; ++i) {
+    DatumRow row;
+    b.CopyRow(i, &row);
+    Result<bool> keep = EvalPredicate(e, row, nullptr);
+    EXPECT_TRUE(keep.ok()) << keep.status().ToString();
+    if (keep.ok() && *keep) kept.push_back(i);
+  }
+  return kept;
+}
+
+/// The two pool caps the compiler used to bail on. Each expression becomes
+/// one kFallbackLane program; at batch sizes 1, 3 and 256 it must keep the
+/// rows the scalar evaluator keeps and count every lane it escapes.
+void PoolOverflowsRunOnFallbackLanes() {
+  RowBatch b = MakeBatch(256);
+  std::vector<ExprPtr> exprs;
+
+  // col0 IN (0, 2, 4, ..., 9998): 5,000 distinct literals > kMaxLiterals.
+  std::vector<ExprPtr> items;
+  for (int64_t i = 0; i < 5000; ++i) items.push_back(Lit(2 * i));
+  exprs.push_back(Expr::InList(Col(0), std::move(items), false));
+
+  // col0 < 0 OR (col0 < 1 OR (col0 < 2 OR ...)), 4,200 levels deep: each OR
+  // region holds one more register, so the program would need > kMaxRegs.
+  // Rows stop at depth col0 + 1, so the scalar walk stays shallow.
+  ExprPtr deep = Expr::Binary(BinaryOp::kLt, Col(0), Lit(4200));
+  for (int64_t k = 4199; k >= 0; --k) {
+    deep = Expr::Binary(BinaryOp::kOr,
+                        Expr::Binary(BinaryOp::kLt, Col(0), Lit(k)),
+                        std::move(deep));
+  }
+  // Keep only lanes whose value is odd, so the expected set is not "all".
+  exprs.push_back(Expr::Binary(
+      BinaryOp::kAnd, std::move(deep),
+      Expr::Binary(BinaryOp::kEq,
+                   Expr::Binary(BinaryOp::kMod, Col(0), Lit(2)), Lit(1))));
+
+  for (const ExprPtr& e : exprs) {
+    auto p = MustCompile(e, 2);
+    ExpectWholeFallback(*p, *e);
+    const std::vector<uint32_t> golden = RowModeKept(*e, b);
+    ASSERT_FALSE(golden.empty());
+    ASSERT_LT(golden.size(), b.size);
+    for (size_t batch_size : {1, 3, 256}) {
+      SCOPED_TRACE(batch_size);
+      bc::ExecState st;
+      EXPECT_EQ(RunInBatches(*p, b, batch_size, &st), golden);
+      EXPECT_EQ(st.fallback_lanes, b.size);
+    }
+  }
+}
+
+/// Runs `fn` on a thread with a 64 MB stack. The compiler recurses once per
+/// expression level, and sanitizer builds spend a few KB of stack a level:
+/// a tree deep enough to need more than 4,096 registers outgrows a default
+/// 8 MB stack there.
+void RunWithLargeStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{64} << 20), 0);
+  pthread_t thread;
+  auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+TEST(BytecodeCompile, PoolOverflowsRunOnFallbackLanes) {
+  RunWithLargeStack(PoolOverflowsRunOnFallbackLanes);
 }
 
 TEST(BytecodeExec, FusedPredicateRefinesSelection) {

@@ -125,7 +125,7 @@ TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {
   // never apply (typed=0). The projection `a + 1` compiles to one (unfused)
   // arithmetic op over the 50 surviving lanes; column `a` is a monomorphic
   // int column, so every lane runs on the typed kernel (typed=50). No lane
-  // ever needs the tree-walk fallback.
+  // ever needs the scalar fallback.
   auto result =
       db.Execute("EXPLAIN ANALYZE SELECT a + 1 AS x FROM t WHERE a < 50");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -148,17 +148,6 @@ TEST(ExplainTest, ExplainAnalyzeReportsBytecodeShape) {
   EXPECT_NE(fb_text.find("(bytecode ops=1 fused=0 typed=0 fallback_lanes=100)"),
             std::string::npos)
       << fb_text;
-
-  // With compilation disabled the annotation disappears entirely.
-  engine::PlannerOptions planner;
-  planner.enable_bytecode = false;
-  engine::Database tree_db(planner);
-  FillTable(&tree_db, 100);
-  auto plain =
-      tree_db.Execute("EXPLAIN ANALYZE SELECT a + 1 AS x FROM t WHERE a < 50");
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_EQ(ExplainText(*plain).find("(bytecode"), std::string::npos)
-      << ExplainText(*plain);
 }
 
 TEST(ExplainTest, CreateTableRejectsReservedMetricsName) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "engine/table.h"
 #include "serial/sinew_format.h"
 #include "sinew/sinew_db.h"
+#include "workloads/nobench/generator.h"
+#include "workloads/nobench/runners.h"
 
 namespace sinew {
 namespace {
@@ -106,6 +111,66 @@ TEST(Loader, DocumentsReconstructFromReservoir) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->rows[0][0].str(),
             R"({"url":"x.com","hits":22,"user":{"id":7},"tags":["a"]})");
+}
+
+TEST(Loader, ParallelLoadAssignsIdsInDocumentOrder) {
+  // A parallel load must intern attributes exactly as a serial load does:
+  // same ids, hence the same plans and plan hashes. NoBench's ~1,000 sparse
+  // keys mostly first appear in the first chunks; the second table's
+  // documents each bring new keys, top level and nested, so every chunk of
+  // a parallel load interns concurrently.
+  namespace nb = workloads::nobench;
+  nb::Config config;
+  config.num_records = 2000;
+  const std::vector<Value> docs = nb::Generate(config);
+  const nb::QueryParams params = nb::MakeQueryParams(config);
+  std::vector<Value> fresh_keys;
+  for (int i = 0; i < 2000; ++i) {
+    const std::string n = std::to_string(i);
+    fresh_keys.push_back(Value::Object(
+        {{"k" + n, Value::Int(i)},
+         {"o", Value::Object({{"n" + n, Value::String(n)}})},
+         {"a", Value::Array({Value::Object({{"e" + n, Value::Bool(true)}})})}}));
+  }
+  auto make_db = [](int parallelism) {
+    SinewOptions options;
+    options.parallelism = parallelism;
+    // Keep query plans serial on both sides so EXPLAIN compares verbatim;
+    // only the load differs.
+    options.planner.parallel_min_rows = 1e12;
+    return std::make_unique<SinewDb>(options);
+  };
+  std::unique_ptr<SinewDb> serial = make_db(1);
+  std::unique_ptr<SinewDb> parallel = make_db(4);
+  for (SinewDb* db : {serial.get(), parallel.get()}) {
+    ASSERT_TRUE(db->LoadDocuments(nb::kTableName, docs).ok());
+    ASSERT_TRUE(db->LoadDocuments("fresh", fresh_keys).ok());
+  }
+
+  ASSERT_EQ(serial->catalog()->size(), parallel->catalog()->size());
+  for (uint32_t id = 0; id < serial->catalog()->size(); ++id) {
+    Result<serial::Attribute> attr = serial->catalog()->Lookup(id);
+    ASSERT_TRUE(attr.ok()) << attr.status().ToString();
+    EXPECT_EQ(parallel->catalog()->FindId(attr->key, attr->type), id)
+        << attr->key;
+  }
+
+  auto expect_same_plans = [&](const char* stage) {
+    for (int q = 1; q <= 11; ++q) {
+      SCOPED_TRACE(std::string(stage) + " Q" + std::to_string(q));
+      Result<std::string> sql = nb::SinewTaskSql(q, params);
+      ASSERT_TRUE(sql.ok());
+      Result<std::string> want = serial->Explain(*sql);
+      Result<std::string> got = parallel->Explain(*sql);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, *want);
+    }
+  };
+  expect_same_plans("virtual");
+  ASSERT_TRUE(serial->AnalyzeAndMaterialize(nb::kTableName).ok());
+  ASSERT_TRUE(parallel->AnalyzeAndMaterialize(nb::kTableName).ok());
+  expect_same_plans("materialized");
 }
 
 }  // namespace
